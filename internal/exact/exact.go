@@ -38,6 +38,16 @@
 // executing): shedding increments it before the push, finishing a task's
 // subtree decrements it, and a hungry worker exits when it reads zero.
 //
+// The node budget (Options.MaxNodes) is charged so that every worker count
+// covers at least the sequential search's first dive, the chain of first
+// children from the root.  In resource mode no incumbent exists before
+// that dive ends, so without this two workers sharing a small budget could
+// each stop short of it and report nothing where one worker finds a
+// solution.  Once the budget is spent, the worker holding the dive keeps
+// diving while its depth is within the budget and no incumbent exists;
+// everyone else stops as before.  A search that never spends its budget
+// is scheduled exactly as without the rule.
+//
 // Workers share one incumbent: the best objective value lives in an
 // atomic integer that pruning reads lock-free on every node, while
 // improvements take a mutex to install the value and its witness flow
@@ -346,6 +356,11 @@ type worker struct {
 	dq   *deque
 	self int
 
+	// dive is the depth of the current node on the sequential search's
+	// first dive (the chain of first children from the root), or -1 off
+	// that chain.  See owedDive.
+	dive int
+
 	lb    []int64 // per-arc lower bounds of the current assignment
 	durs  []int64 // per-arc assigned durations
 	rdurs []int64 // per-arc realized durations under the min-flow
@@ -412,6 +427,7 @@ func newWorker(sh *shared) *worker {
 	w.mf = sh.pool.Get(sh.inst.G, sh.inst.Source, sh.inst.Sink)
 	w.dq = nil
 	w.self = 0
+	w.dive = -1
 	w.level = intSlice(w.level, m)
 	w.frozen = boolSlice(w.frozen, m)
 	w.lb = int64Slice(w.lb, m)
@@ -492,6 +508,20 @@ func (w *worker) candidates(d []int64) []int {
 	return w.cand
 }
 
+// owedDive reports whether the current node must be visited even though
+// the node budget is spent: it lies on the sequential search's first dive
+// within the budget's depth, in resource mode, with no incumbent yet.  A
+// sequential search with budget N visits the first min(N, dive length)
+// dive nodes before anything else, and its first incumbent (if the target
+// is feasible) ends that dive, so finishing the owed dive makes a truncated
+// parallel search find an incumbent whenever the sequential one does.
+//
+//rt:hotpath
+func (w *worker) owedDive() bool {
+	sh := w.sh
+	return sh.minimizeResource && w.dive >= 0 && int64(w.dive) < sh.maxNodes && !sh.found.Load()
+}
+
 // visit expands the current node: it accounts the node, computes the
 // assignment's min-flow, applies the sound prunes, records any solution,
 // and returns the path-repair branching candidates.  ok=false means the
@@ -501,12 +531,14 @@ func (w *worker) candidates(d []int64) []int {
 //rt:hotpath — the per-node body of the branch-and-bound.
 func (w *worker) visit() (candidates []int, ok bool) {
 	sh := w.sh
-	if sh.done.Load() || sh.stopped.Load() {
+	if sh.done.Load() || sh.stopped.Load() && !w.owedDive() {
 		return nil, false
 	}
 	if sh.nodes.Add(1) > sh.maxNodes {
 		sh.stopped.Store(true)
-		return nil, false
+		if !w.owedDive() {
+			return nil, false
+		}
 	}
 	// Cancellation check: one ctx.Err() per node is cheap next to the
 	// min-flow each node computes, and keeps interruption latency at a
@@ -617,6 +649,7 @@ func (w *worker) expand(candidates []int) {
 	w.candStack = append(w.candStack, candidates...)
 	n := len(candidates)
 	own := n // siblings this worker still runs itself
+	dive := w.dive
 	for i := 0; i < own; i++ {
 		if w.dq != nil && i+1 < own && w.sh.hungry.Load() > 0 {
 			w.shed(base, i, own)
@@ -625,6 +658,10 @@ func (w *worker) expand(candidates []int) {
 		// Index through w.candStack rather than a saved sub-slice: deeper
 		// recursion may grow (and so move) the backing array.
 		e := w.candStack[base+i]
+		w.dive = -1
+		if i == 0 && dive >= 0 {
+			w.dive = dive + 1
+		}
 		w.level[e]++
 		w.recurse()
 		w.level[e]--
@@ -633,6 +670,7 @@ func (w *worker) expand(candidates []int) {
 		}
 		w.frozen[e] = true
 	}
+	w.dive = dive
 	// Candidates are never frozen at entry, so unfreezing all of them
 	// (including any the early break skipped, and the shed ones — which
 	// were frozen only inside their task snapshots) restores the entry
@@ -659,6 +697,7 @@ func (w *worker) shed(base, i, n int) {
 			tk.frozen[w.candStack[base+k]] = true
 		}
 		tk.level[w.candStack[base+j]]++
+		tk.dive = -1
 		sh.pending.Add(1)
 		w.dq.push(tk)
 	}
@@ -677,6 +716,7 @@ func (w *worker) recurse() {
 type task struct {
 	level  []int
 	frozen []bool
+	dive   int // the root's first child starts the first dive at depth 1
 }
 
 var taskPool sync.Pool
@@ -700,23 +740,36 @@ func getTask(m int) *task {
 // turns up or no live task remains anywhere.
 func (w *worker) loop() {
 	sh := w.sh
-	for {
-		if sh.done.Load() || sh.stopped.Load() {
-			return
-		}
+	for !sh.done.Load() && !sh.stopped.Load() {
 		tk := w.dq.pop()
 		if tk == nil {
-			tk = w.stealWork()
-			if tk == nil {
-				return
+			if tk = w.stealWork(); tk == nil {
+				break
 			}
 		}
-		copy(w.level, tk.level)
-		copy(w.frozen, tk.frozen)
-		taskPool.Put(tk)
-		w.recurse()
-		sh.pending.Add(-1)
+		w.run(tk)
 	}
+	// A spent node budget stops the search, but the first dive may still
+	// be owed (see owedDive): if its task waits in this deque, run it.
+	for sh.stopped.Load() && sh.minimizeResource && !sh.found.Load() {
+		tk := w.dq.pop()
+		if tk == nil {
+			return
+		}
+		if tk.dive >= 0 {
+			w.run(tk)
+		}
+	}
+}
+
+// run searches one frontier task's subtree.
+func (w *worker) run(tk *task) {
+	copy(w.level, tk.level)
+	copy(w.frozen, tk.frozen)
+	w.dive = tk.dive
+	taskPool.Put(tk)
+	w.recurse()
+	w.sh.pending.Add(-1)
 }
 
 // stealWork hunts the other deques for a task, counting this worker as
@@ -752,6 +805,7 @@ func (sh *shared) run(parallelism int) {
 		return // a seeded incumbent already proved optimal
 	}
 	root := newWorker(sh)
+	root.dive = 0
 	if par <= 1 {
 		root.recurse()
 		root.release()
@@ -776,6 +830,10 @@ func (sh *shared) run(parallelism int) {
 			tk.frozen[prev] = true
 		}
 		tk.level[e]++
+		tk.dive = -1
+		if i == 0 {
+			tk.dive = 1
+		}
 		sh.pending.Add(1)
 		sh.dqs[i%par].push(tk)
 	}

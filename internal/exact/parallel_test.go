@@ -352,3 +352,37 @@ func ExampleOptions_parallelism() {
 	fmt.Println(sol.Makespan)
 	// Output: 5
 }
+
+// TestTruncatedSearchCoversSequentialDive: under any node cap, a
+// truncated search at any worker count finds an incumbent whenever the
+// sequential search does.  In resource mode the sequential search's first
+// incumbent ends its first dive; before the budget covered that dive, two
+// workers sharing a small cap could each stop short of its end.
+func TestTruncatedSearchCoversSequentialDive(t *testing.T) {
+	insts := []*core.Instance{chainInstance(4, 7, 2, 3), chainInstance(6, 9, 1, 2)}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 20; i++ {
+		insts = append(insts, tinyInstance(rng))
+	}
+	for i, inst := range insts {
+		lo := inst.MakespanLowerBound()
+		for _, target := range []int64{lo, lo + 2, lo + 5} {
+			for cap := 1; cap <= 12; cap++ {
+				_, _, err1 := MinResource(inst, target, &Options{MaxNodes: cap, Parallelism: 1})
+				if err1 != nil {
+					continue
+				}
+				for _, par := range []int{2, 3, 4} {
+					_, stats, err := MinResource(inst, target, &Options{MaxNodes: cap, Parallelism: par})
+					if err != nil {
+						t.Fatalf("instance %d target %d cap %d: p=1 found a solution, p=%d: %v",
+							i, target, cap, par, err)
+					}
+					if stats.Nodes > 2*cap+par { // the owed dive adds at most cap
+						t.Fatalf("instance %d target %d cap %d p=%d: %d nodes", i, target, cap, par, stats.Nodes)
+					}
+				}
+			}
+		}
+	}
+}

@@ -3,12 +3,14 @@ package lp
 import "sync"
 
 // workspace is the pooled scratch of one simplex solve: the normalized
-// coefficient rows, the tableau, the reduced-cost rows and the basis all
-// carve slices out of two flat arenas sized once per solve.  Solving the
-// same relaxation shape repeatedly - the approximation pipeline does, and
-// rtserve's workers do it for a living - used to rebuild every row slice
-// from the allocator; with the pool a steady-state solve performs a
-// constant number of allocations regardless of problem size.
+// coefficient rows, the tableau, the reduced-cost rows, the basis and the
+// pivot row's nonzero columns all carve slices out of two flat arenas
+// sized once per solve, and the simplex state itself lives here too.
+// Solving the same relaxation shape repeatedly - the approximation
+// pipeline does, and rtserve's workers do it for a living - used to
+// rebuild every row slice from the allocator; with the pool a steady-state
+// solve performs a constant number of allocations regardless of problem
+// size.
 //
 // Handed-out slices alias the arena, so nothing taken from a workspace may
 // outlive the solve: Solution.X is copied out before release.  The pool
@@ -22,9 +24,18 @@ type workspace struct {
 	fOff  int
 	iOff  int
 	rOff  int
+
+	simplex simplex
 }
 
 var wsPool = sync.Pool{New: func() any { return new(workspace) }}
+
+// release returns the workspace to the pool, dropping the simplex's
+// context so a pooled workspace never keeps a request's context alive.
+func (w *workspace) release() {
+	w.simplex = simplex{}
+	wsPool.Put(w)
+}
 
 // prepare sizes the arenas for a solve needing at most nFloat float64s,
 // nInt ints and nRow row headers, zeroes the float arena (rows rely on
