@@ -82,6 +82,10 @@ import (
 type Options struct {
 	// MaxNodes bounds the number of search nodes expanded; 0 means the
 	// default of 1<<20.  When exceeded the result carries Complete=false.
+	// One exception: a parallel resource-mode search that spends the
+	// budget before any incumbent exists still finishes the sequential
+	// search's first dive up to depth MaxNodes (see the package comment),
+	// so it may expand up to MaxNodes more nodes than the cap.
 	MaxNodes int
 	// Parallelism is the number of branch-and-bound workers: 0 uses
 	// GOMAXPROCS, 1 forces the sequential search, larger values size the

@@ -196,7 +196,7 @@ func servedExpansions(tb testing.TB, build func(g *scenario.Gen) *core.Instance,
 }
 
 // TestSparsePivotMatchesDenseServedShapes runs the served LP shapes over
-// a twelve-step budget ladder.
+// the twelve-step budget ladder BenchmarkMakespanLP times.
 func TestSparsePivotMatchesDenseServedShapes(t *testing.T) {
 	dags := 4
 	if testing.Short() {
@@ -204,7 +204,7 @@ func TestSparsePivotMatchesDenseServedShapes(t *testing.T) {
 	}
 	for _, sh := range servedShapes {
 		for i, ex := range servedExpansions(t, sh.build, dags) {
-			for b := sh.budget - 1; b < sh.budget+12; b++ {
+			for b := sh.budget; b < sh.budget+12; b++ {
 				if d := diffKernels(relaxationSolve(ex, b, -1)); d != "" {
 					t.Errorf("%s dag %d budget %d: %s", sh.route, i, b, d)
 				}

@@ -101,17 +101,15 @@ func TestSolversFreshVsMemoizedCompiled(t *testing.T) {
 
 // TestSolveCompiledMatchesSolve pins the convenience wrappers to each
 // other: Solve (which compiles internally) and SolveCompiled (on a caller
-// compiled instance) must agree byte for byte.  Auto routes this instance
-// to exact, whose node count is schedule-dependent above one worker, so
-// both run one worker to make every byte comparable.
+// compiled instance) must agree byte for byte.
 func TestSolveCompiledMatchesSolve(t *testing.T) {
 	inst := bridgeInstance(t, func() duration.Func { return stepFunc(t) })
 	c := core.Compile(inst)
-	via, err := Solve(context.Background(), "auto", inst, WithBudget(4), WithParallelism(1))
+	via, err := Solve(context.Background(), "auto", inst, WithBudget(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := SolveCompiled(context.Background(), "auto", c, WithBudget(4), WithParallelism(1))
+	direct, err := SolveCompiled(context.Background(), "auto", c, WithBudget(4))
 	if err != nil {
 		t.Fatal(err)
 	}

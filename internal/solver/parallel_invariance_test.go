@@ -25,10 +25,6 @@ import (
 //     package contract, and the reason Parallelism is part of the result
 //     cache key).  The witness is checked separately for validity and
 //     optimality instead; the VALUE fields it certifies are compared.
-//   - the witness's other metric: resources in makespan mode, makespan in
-//     resource mode.  It is a property of the witness, not of the
-//     optimum, so it varies with the witness (layered-big-fw has optimal
-//     flows of 55 and 60 units at makespan 356).
 func parallelWireBytes(t *testing.T, rep *Report, dropScheduleDependent bool) []byte {
 	t.Helper()
 	w := rep.Wire()
@@ -36,11 +32,6 @@ func parallelWireBytes(t *testing.T, rep *Report, dropScheduleDependent bool) []
 	if dropScheduleDependent {
 		w.Nodes = 0
 		w.Flow = nil
-		if rep.Objective == MinMakespan {
-			w.Resources = 0
-		} else {
-			w.Makespan = 0
-		}
 	}
 	data, err := json.Marshal(w)
 	if err != nil {
@@ -59,7 +50,7 @@ func parallelWireBytes(t *testing.T, rep *Report, dropScheduleDependent bool) []
 //     max-reductions, which are order-independent, so the iterates — and
 //     hence every downstream field — are identical at every worker count.
 //   - exact reports must be byte-identical in every answer field
-//     (optimum, bounds, guarantee, exactness, completeness),
+//     (optimum, resources, bounds, guarantee, exactness, completeness),
 //     and every run's witness flow must be a valid budget-feasible
 //     optimal solution; the witness bytes and node count themselves are
 //     schedule-dependent (see parallelWireBytes) and are normalized out.

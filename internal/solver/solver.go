@@ -120,7 +120,10 @@ type Options struct {
 	Target int64
 	// Alpha is the bi-criteria rounding parameter in (0,1).
 	Alpha float64
-	// MaxNodes caps the exact search; 0 uses the search's default.
+	// MaxNodes caps the exact search; 0 uses the search's default.  A
+	// truncated min-resource search with Parallelism above 1 may go past
+	// the cap to finish the sequential first dive, by at most MaxNodes
+	// nodes (see exact.Options.MaxNodes).
 	MaxNodes int
 	// Parallelism sizes the worker pool of parallel solvers: 0 uses
 	// GOMAXPROCS, 1 forces sequential search.  Explicit values of 2 or

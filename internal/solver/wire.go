@@ -25,7 +25,9 @@ type WireOptions struct {
 	// Alpha is the bi-criteria rounding parameter in (0,1); absent means
 	// the 0.5 default.
 	Alpha *float64 `json:"alpha,omitempty"`
-	// MaxNodes caps the exact search; 0 uses the search's default.
+	// MaxNodes caps the exact search; 0 uses the search's default.  A
+	// truncated parallel min-resource search may go past it by at most
+	// MaxNodes nodes (see Options.MaxNodes).
 	MaxNodes int `json:"max_nodes,omitempty"`
 	// Parallelism sizes the worker pool of parallel solvers.
 	Parallelism int `json:"parallelism,omitempty"`
